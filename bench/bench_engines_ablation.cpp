@@ -1,7 +1,7 @@
 // Ablation of the design choices DESIGN.md calls out:
 //  - which P2 engine answers the query fastest — every strategy in the
 //    engine registry (enumerate / interval / symbolic / bnb / cascade /
-//    explicit-mc / bmc) runs the same query, registered as benchmarks
+//    explicit-mc / sat) runs the same query, registered as benchmarks
 //    straight off the registry so new engines show up here automatically,
 //  - symbolic vs plain-interval pruning inside the branch-and-bound,
 //  - the BDD-vs-SAT model-checker trade-off the paper cites when choosing
@@ -45,10 +45,10 @@ verify::Query sample_query(int range) {
 }
 
 /// Noise ranges each engine can afford in a benchmark loop (enumeration is
-/// the box volume; the MC paths re-translate the model per query).
+/// the box volume; the MC and SAT paths re-translate the model per query).
 std::vector<int> ranges_for(const std::string& engine) {
   if (engine == "enumerate") return {1, 2, 3};
-  if (engine == "explicit-mc" || engine == "bmc") return {1, 2};
+  if (engine == "explicit-mc" || engine == "sat") return {1, 2};
   return {1, 3, 10, 25, 50};
 }
 
@@ -96,8 +96,9 @@ BENCHMARK(BM_P2_BddTinyNet)->Arg(1)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   std::puts("=== Engine ablation: one P2 query answered by every registered");
   std::puts(" engine (enumerate = ground truth; bnb = complete default;");
-  std::puts(" cascade = sound-screen portfolio; explicit/bmc = model-checking");
-  std::puts(" paths; bdd = the PSPACE alternative the paper rejects) ===\n");
+  std::puts(" cascade = sound-screen portfolio; explicit-mc/sat = model-");
+  std::puts(" checking paths; bdd = the PSPACE alternative the paper");
+  std::puts(" rejects) ===\n");
 
   // One benchmark per registry entry — new engines ablate automatically.
   for (const std::string& name : verify::registry().names()) {

@@ -1,11 +1,11 @@
 /// \file
-/// \brief Model-checking backends as pluggable verify::Engine strategies.
+/// \brief The explicit-state model checker as a pluggable verify::Engine.
 ///
-/// Both adapters run the paper's original tool path: Behavior Extraction
-/// (core/translate) turns the query into an SMV model, then a model checker
-/// decides the INVARSPEC.  They are registered in the engine registry as
-/// "explicit-mc" and "bmc" so every consumer reaches them through the same
-/// seam as the exact-integer engines; the registry seeds them via
+/// The adapter runs the paper's original tool path: Behavior Extraction
+/// (core/translate) turns the query into an SMV model, then the explicit
+/// checker decides the INVARSPEC.  It is registered in the engine registry
+/// as "explicit-mc" so every consumer reaches it through the same seam as
+/// the exact-integer engines; the registry seeds it (and "sat") via
 /// verify::detail::register_translation_engines (defined here, in the MC
 /// layer, because the translation lives above src/verify).
 #pragma once
@@ -21,20 +21,10 @@ class ExplicitMcEngine final : public verify::Engine {
     return "explicit-mc";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
-};
-
-/// SMV translation + bit-blasting + CDCL bounded model checking (mc/bmc).
-/// Complete on this model class: depth 1 reaches every s_eval state.
-class BmcEngine final : public verify::Engine {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "bmc";
-  }
-  [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
+  /// One-step generic task around the translate-then-check decision.
+  [[nodiscard]] std::unique_ptr<verify::EngineTask> make_task(
+      const verify::Query& query,
+      const verify::VerifyContext& context) const override;
 };
 
 }  // namespace fannet::mc

@@ -23,19 +23,19 @@ using verify::VerifyResult;
 
 namespace {
 
-/// The decide-then-minimize pipeline of sat_verify unrolled into resumable
-/// probes: one CDCL solve per `advance()` call, with all cross-solve state
-/// (the incremental solver with its learnt clauses, the frozen threshold
+/// The decide-then-minimize pipeline unrolled into resumable probes: one
+/// CDCL solve per `advance()` call, with all cross-solve state (the
+/// incremental solver with its learnt clauses, the frozen threshold
 /// literals, the binary-search cursor, the accumulated pins) held as
-/// members.  `sat_verify` drives it in a tight loop; SatTask drives it one
-/// solve per step with a re-armed conflict quota, which is what makes the
-/// SAT engine pausable with bounded overshoot.
+/// members.  SatTask, its only driver, runs one solve per step with a
+/// re-armed conflict quota, which is what makes the SAT engine pausable
+/// with bounded overshoot.
 ///
 /// A stalled probe (solver kUnknown) leaves the session state untouched,
 /// so the caller can either retry it on a later step (pause / step quota)
-/// or `finalize_stalled()` (engine budget / deadline) — the latter
-/// reproduces the blocking path's resource_limited results, including the
-/// valid-but-non-canonical witness when the stall hits mid-minimization.
+/// or `finalize_stalled()` (engine budget / deadline) — the latter yields
+/// the resource_limited result, including the valid-but-non-canonical
+/// witness when the stall hits mid-minimization.
 ///
 /// Determinism: whatever model a retried probe lands on, the per-dimension
 /// binary search converges to the same lexicographically lowest witness —
@@ -225,30 +225,37 @@ class SatSession {
   VerifyResult out_;
 };
 
-/// Native resumable task: the CNF is encoded on the first step, then each
-/// step runs one session probe under a re-armed cumulative conflict quota
-/// (min of the engine budget and conflicts-so-far + max_work) with the
-/// solver's stop callback wired to the task's yield flags — so pause,
-/// cancel, and deadline all take effect *inside* a running solve, at
-/// conflict/decision granularity, and learnt clauses persist across steps.
+/// The SAT engine's one execution path (`sat_verify` runs it in unbounded
+/// steps, the scheduler in quota-sized ones): the CNF is encoded on the
+/// first step, then each step runs one session probe under a re-armed
+/// cumulative conflict quota (min of the engine budget and conflicts-so-far
+/// + max_work, saturating) with the solver's stop callback wired to the
+/// task's yield flags — so pause, cancel, and deadline all take effect
+/// *inside* a running solve, at conflict/decision granularity, and learnt
+/// clauses persist across steps.  A probe parked on the step quota
+/// re-enters the solver on the next step, which starts its restart
+/// schedule afresh, so the quota can change `work` — never the verdict or
+/// the witness.
 class SatTask final : public verify::EngineTask {
  public:
   SatTask(verify::Query query, SatVerifyOptions options,
-          const verify::Budget& budget)
+          const verify::Budget& budget, sat::ProofLog* proof = nullptr)
       : EngineTask(budget),
         query_(std::move(query)),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        proof_(proof) {}
 
  private:
   bool step_impl(std::uint64_t max_work,
                  verify::VerifyResult& out) override {
     if (!session_.has_value()) {
       query_.validate();
-      session_.emplace(query_, options_, nullptr);
+      session_.emplace(query_, options_, proof_);
       session_->solver().set_stop([this] { return should_yield(); });
     }
     sat::Solver& solver = session_->solver();
-    const std::uint64_t step_cap = solver.stats().conflicts + max_work;
+    const std::uint64_t step_cap =
+        verify::saturating_add(solver.stats().conflicts, max_work);
     const std::uint64_t cumulative = options_.conflict_budget;
     solver.set_conflict_limit(
         cumulative == 0 ? step_cap : std::min(cumulative, step_cap));
@@ -280,6 +287,7 @@ class SatTask final : public verify::EngineTask {
 
   verify::Query query_;
   SatVerifyOptions options_;
+  sat::ProofLog* proof_;  // not owned; may be null
   std::optional<SatSession> session_;  // encoded on the first step
 };
 
@@ -299,25 +307,8 @@ class SatTask final : public verify::EngineTask {
 
 VerifyResult sat_verify(const verify::Query& query,
                         const SatVerifyOptions& options, sat::ProofLog* proof) {
-  query.validate();
-  SatSession session(query, options, proof);
-  for (;;) {
-    const SatSession::Advance a = session.advance();
-    if (a == SatSession::Advance::kMore) continue;
-    if (a == SatSession::Advance::kStalled) session.finalize_stalled();
-    return session.take_result();
-  }
-}
-
-VerifyResult SatEngine::verify(const verify::Query& query) const {
-  return sat_verify(query, SatVerifyOptions{});
-}
-
-VerifyResult SatEngine::verify_with(const verify::Query& query,
-                                    const verify::VerifyContext& context) const {
-  // Drive the native task: the blocking path and the task path are then
-  // one code path, deadline/cancel included.
-  return verify::run_task(*this, query, context);
+  SatTask task(query, options, verify::Budget{}, proof);
+  return verify::run_task(task);
 }
 
 std::unique_ptr<verify::EngineTask> SatEngine::make_task(

@@ -32,9 +32,11 @@ struct SatVerifyOptions {
   sat::InprocessOptions inprocess = sat::InprocessOptions::all();
 };
 
-/// Decides the P2 query by SAT.  When `proof` is non-null every solver
-/// derivation is logged to it; for a kRobust verdict the log is a complete
-/// DRAT certificate (check with sat::check_proof, no assumptions).
+/// Decides the P2 query by SAT: the engine's task run to completion, with
+/// the caller's options instead of the registry defaults.  When `proof` is
+/// non-null every solver derivation is logged to it; for a kRobust verdict
+/// the log is a complete DRAT certificate (check with sat::check_proof, no
+/// assumptions).
 [[nodiscard]] verify::VerifyResult sat_verify(const verify::Query& query,
                                               const SatVerifyOptions& options,
                                               sat::ProofLog* proof = nullptr);
@@ -47,13 +49,6 @@ class SatEngine final : public verify::Engine {
     return "sat";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
-  /// Honours VerifyContext::budget (conflict/propagation caps, deadline,
-  /// cancellation) by driving the native task to completion.
-  [[nodiscard]] verify::VerifyResult verify_with(
-      const verify::Query& query,
-      const verify::VerifyContext& context) const override;
   [[nodiscard]] verify::EngineCaps caps() const noexcept override {
     return verify::EngineCaps{.complete = true,
                               .deadline = true,
@@ -65,6 +60,8 @@ class SatEngine final : public verify::Engine {
   /// under a per-step conflict quota, with pause/cancel/deadline polled
   /// inside the solver at conflict granularity.  Learnt clauses persist
   /// across steps; pause/resume never changes the verdict or the witness.
+  /// Honours VerifyContext::budget (conflict/propagation caps, deadline,
+  /// cancellation).
   [[nodiscard]] std::unique_ptr<verify::EngineTask> make_task(
       const verify::Query& query,
       const verify::VerifyContext& context) const override;

@@ -454,29 +454,17 @@ struct SearchOutcome {
   bool exhausted = false;
 };
 
-/// Runs the branch-and-bound frontier to completion (or cancellation) and
-/// joins every worker.  `sink` selects exhaustive-stream mode; `top_k`
-/// (with null sink) selects deterministic smallest-K collection.
-SearchOutcome run_search(const Query& query, const BnbOptions& options,
-                         const std::function<bool(const Counterexample&)>* sink,
-                         std::size_t top_k) {
-  query.validate();
-  const std::size_t workers =
-      options.threads != 0
-          ? options.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+[[nodiscard]] std::size_t resolve_workers(std::size_t threads) {
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
-  Search search(query, options, workers);
-  search.budget = &options.budget;
-  std::optional<TopK> topk;
-  if (sink == nullptr) {
-    topk.emplace(top_k);
-    search.topk = &*topk;
-  } else {
-    search.sink = sink;
-  }
-  search.frontier.push(0, query.box);
-
+/// The worker pool both drivers share: runs `workers` Workers over the
+/// search until the frontier drains, the search quits, or a step quota
+/// parks them — inline when serial, else on a joined pool — and rethrows
+/// the first worker error.
+void run_workers(Search& search, std::size_t workers) {
   if (workers == 1) {
     Worker(search, 0).run();
   } else {
@@ -488,6 +476,28 @@ SearchOutcome run_search(const Query& query, const BnbOptions& options,
     for (std::thread& t : pool) t.join();
   }
   search.error.rethrow_if_set();
+}
+
+/// Runs the exhaustive-stream or top-K search (bnb_stream, bnb_collect) to
+/// completion or cancellation.  `sink` selects exhaustive-stream mode;
+/// `top_k` (with null sink) selects deterministic smallest-K collection.
+/// The decision query runs as a BnbTask instead.
+SearchOutcome run_search(const Query& query, const BnbOptions& options,
+                         const std::function<bool(const Counterexample&)>* sink,
+                         std::size_t top_k) {
+  query.validate();
+  const std::size_t workers = resolve_workers(options.threads);
+  Search search(query, options, workers);
+  search.budget = &options.budget;
+  std::optional<TopK> topk;
+  if (sink == nullptr) {
+    topk.emplace(top_k);
+    search.topk = &*topk;
+  } else {
+    search.sink = sink;
+  }
+  search.frontier.push(0, query.box);
+  run_workers(search, workers);
 
   SearchOutcome outcome;
   if (topk.has_value()) outcome.found = topk->take();
@@ -496,8 +506,7 @@ SearchOutcome run_search(const Query& query, const BnbOptions& options,
   return outcome;
 }
 
-/// Decision-query result from a finished top-1 search (shared by
-/// bnb_verify and the task path, so both compose identically).
+/// Decision-query result from a finished top-1 search.
 [[nodiscard]] VerifyResult compose_decision(const Query& query,
                                             SearchOutcome outcome) {
   VerifyResult result;
@@ -517,8 +526,9 @@ SearchOutcome run_search(const Query& query, const BnbOptions& options,
   return result;
 }
 
-/// Native resumable task: owns the Search (frontier, top-1 set, box
-/// counter) across steps.  Each step re-arms the box quota, runs the
+/// The decision query — `bnb_verify` runs it in one unbounded step, the
+/// scheduler in quota-sized steps.  Owns the Search (frontier, top-1 set,
+/// box counter) across steps.  Each step re-arms the box quota, runs the
 /// worker pool until the quota is hit / the frontier drains / the search
 /// quits, and joins the workers — so between steps no thread is running
 /// and the checkpoint is just the parked frontier.  Exploration *order*
@@ -535,10 +545,7 @@ class BnbTask final : public EngineTask {
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
     if (!search_.has_value()) {
       query_.validate();
-      workers_ = options_.threads != 0
-                     ? options_.threads
-                     : std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency());
+      workers_ = resolve_workers(options_.threads);
       search_.emplace(query_, options_, workers_);
       topk_.emplace(1);
       search_->topk = &*topk_;
@@ -548,28 +555,20 @@ class BnbTask final : public EngineTask {
       search_->frontier.push(0, query_.box);
     }
     yield_.store(false, std::memory_order_relaxed);
-    search_->step_target =
-        search_->boxes.load(std::memory_order_relaxed) + max_work;
-
-    if (workers_ == 1) {
-      Worker(*search_, 0).run();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers_);
-      for (std::size_t w = 0; w < workers_; ++w) {
-        pool.emplace_back([this, w] { Worker(*search_, w).run(); });
-      }
-      for (std::thread& t : pool) t.join();
-    }
-    search_->error.rethrow_if_set();
+    search_->step_target = saturating_add(
+        search_->boxes.load(std::memory_order_relaxed), max_work);
+    run_workers(*search_, workers_);
 
     const bool finished = search_->quit.load(std::memory_order_acquire) ||
                           search_->frontier.drained();
-    if (!finished) return false;  // parked on the step quota / a pause
+    // A deadline or cancel that parked the workers ends the search like an
+    // exhausted budget: a witness already in hand survives, flagged.
+    const bool cut = !finished && interrupted();
+    if (!finished && !cut) return false;  // parked on the step quota / a pause
     SearchOutcome outcome;
     outcome.found = topk_->take();
     outcome.boxes = search_->boxes.load();
-    outcome.exhausted = search_->exhausted.load();
+    outcome.exhausted = search_->exhausted.load() || cut;
     out = compose_decision(query_, std::move(outcome));
     return true;
   }
@@ -593,7 +592,7 @@ std::uint64_t bnb_stream(const Query& query,
 }
 
 VerifyResult bnb_verify(const Query& query, BnbOptions options) {
-  return compose_decision(query, run_search(query, options, nullptr, 1));
+  return run_task(*make_bnb_task(query, options));
 }
 
 std::unique_ptr<EngineTask> make_bnb_task(const Query& query,

@@ -83,10 +83,12 @@ struct BnbOptions {
 };
 
 /// Decision query: the lexicographically-lowest counterexample or proof of
-/// robustness.  Exhausting `max_boxes` never throws here: the result is
-/// kUnknown (with `work` = boxes processed) so schedulers and cascades
-/// degrade gracefully — or kVulnerable when a (verified, possibly not
-/// lex-minimal) witness was already in hand when the budget ran out.
+/// robustness.  Runs `make_bnb_task` to completion in one unbounded step.
+/// Exhausting `max_boxes` (or the budget's deadline) never throws here:
+/// the result is kUnknown (with `work` = boxes processed) so schedulers
+/// and cascades degrade gracefully — or kVulnerable when a (verified,
+/// possibly not lex-minimal) witness was already in hand when the budget
+/// ran out; both are flagged `resource_limited`.
 [[nodiscard]] VerifyResult bnb_verify(const Query& query, BnbOptions options = {});
 
 /// Collects the `max_count` lexicographically-smallest counterexamples, in
@@ -108,8 +110,8 @@ std::uint64_t bnb_stream(const Query& query,
 /// work-stealing frontier is checkpointed between steps, each step
 /// processing ~`max_work` boxes before the workers park.  Pause/resume
 /// only changes worker scheduling — the lex-lowest-witness guarantee is
-/// order-independent, so verdict and witness are bit-identical to
-/// `bnb_verify` at any step size and thread count.
+/// order-independent, so verdict and witness are bit-identical at any step
+/// size and thread count.
 [[nodiscard]] std::unique_ptr<EngineTask> make_bnb_task(
     const Query& query, const BnbOptions& options = {});
 

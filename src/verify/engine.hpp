@@ -17,8 +17,12 @@
 ///     bnb          branch-and-bound input splitting    exact    complete
 ///     cascade      interval -> symbolic -> bnb         exact    complete
 ///     explicit-mc  SMV translation + explicit-state MC exact    complete
-///     bmc          SMV translation + CDCL bounded MC   exact    complete
 ///     sat          CNF bit-blast + CDCL + inprocessing exact    complete
+///
+/// Every engine has exactly one execution path: `Engine::make_task` builds a
+/// resumable task (verify/task.hpp) and everything else drives it — the
+/// scheduler steps it under a work quota, and the blocking
+/// `Engine::verify` runs it to completion in one unbounded step.
 ///
 /// The MC/SAT-backed engines live in src/mc (they need the SMV translation
 /// layer); the registry pulls them in at startup via
@@ -78,7 +82,7 @@ struct EngineCaps {
 };
 
 /// One P2 decision strategy.  Implementations must be stateless or
-/// internally synchronized: the scheduler calls `verify` concurrently.
+/// internally synchronized: the scheduler calls `make_task` concurrently.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -94,33 +98,29 @@ class Engine {
   /// complete engines share cached verdicts.
   [[nodiscard]] virtual bool complete() const noexcept = 0;
 
-  /// Decides the query exactly and deterministically.
-  /// \param query a validated P2 query (see Query::validate()).
-  /// \return the verdict, a counterexample iff kVulnerable, and the
-  ///   engine-specific `work` effort counter.
-  [[nodiscard]] virtual VerifyResult verify(const Query& query) const = 0;
-
-  /// Context-aware entry point used by the scheduler; the default ignores
-  /// the context, so plain engines only implement `verify`.
-  [[nodiscard]] virtual VerifyResult verify_with(
-      const Query& query, const VerifyContext& /*context*/) const {
-    return verify(query);
-  }
-
   /// Capability introspection; the default claims nothing beyond
   /// completeness.  Engines with native tasks override.
   [[nodiscard]] virtual EngineCaps caps() const noexcept {
     return EngineCaps{.complete = complete()};
   }
 
-  /// Creates a resumable task for the query (verify/task.hpp).  The
-  /// default wraps `verify_with` in a single-step generic adapter; engines
-  /// with long-running loops override with a native incremental task that
-  /// checkpoints between steps.  The query is copied; the network it
-  /// points to (and the context's cancel token, if any) must outlive the
-  /// task.
+  /// The one execution entry point: creates a resumable task that decides
+  /// the query (verify/task.hpp).  Engines with long-running loops return a
+  /// native task that checkpoints between steps; single-shot decision
+  /// procedures wrap themselves with `make_generic_task`.  The query is
+  /// copied; the network it points to (and the context's cancel token, if
+  /// any) must outlive the task.
   [[nodiscard]] virtual std::unique_ptr<EngineTask> make_task(
-      const Query& query, const VerifyContext& context) const;
+      const Query& query, const VerifyContext& context) const = 0;
+
+  /// Blocking convenience: `run_task(*this, query, context)` — the task
+  /// from `make_task`, run to completion in one unbounded step.
+  /// \param query a validated P2 query (see Query::validate()).
+  /// \param context threads, batch hint and budget for the task.
+  /// \return the verdict, a counterexample iff kVulnerable, and the
+  ///   engine-specific `work` effort counter.
+  [[nodiscard]] VerifyResult verify(const Query& query,
+                                    const VerifyContext& context = {}) const;
 };
 
 /// String-keyed engine registry.  Thread-safe; lookups return references
@@ -181,12 +181,6 @@ class CascadeEngine final : public Engine {
     return "cascade";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override;
-  /// Grants the whole context (the scheduler's leftover threads) to every
-  /// stage; the sound-only screens ignore it, so in practice the budget
-  /// lands on the final complete (bnb) stage.
-  [[nodiscard]] VerifyResult verify_with(
-      const Query& query, const VerifyContext& context) const override;
   /// Deadline/budget support is inherited from the stages (the final bnb
   /// stage polls them natively).
   [[nodiscard]] EngineCaps caps() const noexcept override {
@@ -195,8 +189,11 @@ class CascadeEngine final : public Engine {
                       .budget = true,
                       .native_task = true};
   }
-  /// Staged pipeline task: one sub-task per stage (each stage's own native
-  /// task), advanced on kUnknown with work accumulated across stages.
+  /// Staged pipeline task: one sub-task per stage (each stage's own
+  /// task), advanced on kUnknown with work accumulated across stages.  The
+  /// whole context (the scheduler's leftover threads) goes to every stage;
+  /// the sound-only screens ignore it, so in practice the grant lands on
+  /// the final complete (bnb) stage.
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override;
 
@@ -211,7 +208,7 @@ class CascadeEngine final : public Engine {
   std::vector<std::string> stages_;
   /// True when the stages were injected as pointers (already resolved).
   bool preresolved_ = false;
-  /// Stage engines resolved on first verify (registry entries are stable
+  /// Stage engines resolved on first make_task (registry entries are stable
   /// for the process lifetime), so the per-query hot path takes no lock.
   mutable std::once_flag resolve_once_;
   mutable std::vector<const Engine*> resolved_;
@@ -219,7 +216,7 @@ class CascadeEngine final : public Engine {
 
 namespace detail {
 /// Defined in src/mc/engine_adapters.cpp: registers the SMV-translation
-/// backed engines ("explicit-mc", "bmc", "sat").  Declared here so the
+/// backed engines ("explicit-mc", "sat").  Declared here so the
 /// registry can seed them without a header dependency on the MC layer.
 void register_translation_engines(EngineRegistry& registry);
 }  // namespace detail

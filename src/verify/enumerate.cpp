@@ -23,7 +23,7 @@ using u128 = unsigned __int128;
 constexpr std::size_t kRampStart = 8;
 
 /// Box volume, or 0 if it exceeds ~2^62 (practically unenumerable; the
-/// parallel splitter falls back to the serial walk there).
+/// decision task falls back to its scalar slice there).
 [[nodiscard]] std::uint64_t bounded_volume(const Query& q) {
   u128 volume = 1;
   for (std::size_t d = 0; d < q.noise_dims(); ++d) {
@@ -142,91 +142,12 @@ std::uint64_t batched_stream(
   return visited;
 }
 
-/// Parallel decision walk: the linearized box is split into fixed blocks
-/// of `batch_lanes` points, claimed in ascending order off an atomic
-/// cursor.  Each worker batch-evaluates its block and records its first
-/// *event* (counterexample or overflow); the globally lowest event index
-/// wins, and blocks past the best-so-far event block are skipped (every
-/// block below it was claimed earlier, so it is fully processed before the
-/// workers drain).  Verdict, witness, and work are therefore the scalar
-/// walk's: work = event index + 1 on a hit, the box volume on a proof.
+/// The lowest-index *event* (counterexample or overflow lane) of a scan.
 struct BlockEvent {
   std::uint64_t index = 0;
   int label = 0;
   bool overflow = false;
 };
-
-/// Scans linear point indices [range_start, range_end) for the lowest
-/// event, fanning `batch_lanes`-point blocks across `threads` workers
-/// claimed in ascending order (blocks past the best-so-far event block are
-/// skipped; every block below it was claimed earlier, so it is fully
-/// processed before the workers drain).  Serial when threads == 1 — same
-/// blocks, same events, no spawn.  Returns nullopt when the range is
-/// event-free.
-[[nodiscard]] std::optional<BlockEvent> scan_range(const Query& q,
-                                                   std::uint64_t range_start,
-                                                   std::uint64_t range_end,
-                                                   std::size_t batch_lanes,
-                                                   std::size_t threads) {
-  const std::uint64_t span = range_end - range_start;
-  const std::uint64_t blocks = (span + batch_lanes - 1) / batch_lanes;
-  std::atomic<std::uint64_t> next_block{0};
-  std::atomic<std::uint64_t> best_block{~static_cast<std::uint64_t>(0)};
-  util::Mutex best_mutex;
-  bool have_best = false;
-  BlockEvent best;
-  util::FirstError error;
-
-  const auto worker = [&] {
-    try {
-      nn::BatchEvaluator evaluator(*q.net);
-      nn::BatchEvaluator::Batch batch = evaluator.make_batch();
-      std::vector<int> delta;
-      while (true) {
-        const std::uint64_t blk = next_block.fetch_add(1);
-        if (blk >= blocks) return;
-        if (blk > best_block.load(std::memory_order_relaxed)) continue;
-        const std::uint64_t start = range_start + blk * batch_lanes;
-        const std::size_t count = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batch_lanes, range_end - start));
-        batch.clear();
-        decode_point(q, start, delta);
-        for (std::size_t t = 0; t < count; ++t) {
-          stage_lane(q, delta, batch);
-          if (t + 1 < count) (void)advance(q, delta);
-        }
-        evaluator.run(batch);
-        for (std::size_t t = 0; t < count; ++t) {
-          const bool overflow = batch.overflowed(t);
-          if (!overflow && batch.label(t) == q.true_label) continue;
-          const util::MutexLock lock(best_mutex);
-          const std::uint64_t index = start + t;
-          if (!have_best || index < best.index) {
-            have_best = true;
-            best = {index, overflow ? 0 : batch.label(t), overflow};
-            best_block.store(blk, std::memory_order_relaxed);
-          }
-          break;  // later lanes of this block are higher indices
-        }
-      }
-    } catch (...) {
-      error.capture();
-      next_block.store(blocks);  // drain the other workers
-    }
-  };
-
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  error.rethrow_if_set();
-  if (!have_best) return std::nullopt;
-  return best;
-}
 
 /// Final result for the lowest event: decode the point, reproduce the
 /// scalar walk's exception for overflow lanes (or, defensively, its label
@@ -243,29 +164,24 @@ struct BlockEvent {
   return result;
 }
 
-[[nodiscard]] VerifyResult parallel_find_first(const Query& q,
-                                               std::uint64_t volume,
-                                               std::size_t batch_lanes,
-                                               std::size_t threads) {
-  const std::optional<BlockEvent> best =
-      scan_range(q, 0, volume, batch_lanes, threads);
-  if (!best.has_value()) {
-    VerifyResult result;
-    result.verdict = Verdict::kRobust;
-    result.work = volume;
-    return result;
-  }
-  return event_result(q, *best);
-}
-
-/// Native resumable task: a linear cursor over the bounded box volume,
-/// scanning `max_work` points (rounded up to whole blocks) per step
-/// through `scan_range`.  Because blocks are fixed and chunks cover
-/// [cursor, end) contiguously, the first event found is the globally
-/// lowest one regardless of where step boundaries land — the determinism
-/// contract of verify/task.hpp falls out structurally.  Practically
-/// unenumerable boxes (bounded_volume() == 0) fall back to a serial
-/// scalar odometer slice, which the batched paths are bit-identical to.
+/// The decision walk — the only one: `enumerate_find_first` runs it in one
+/// unbounded step, the scheduler in quota-sized steps.  A linear cursor
+/// over the bounded box volume, split into fixed blocks of `batch_`
+/// points; each step scans the next `max_work` points (rounded up to whole
+/// blocks), fanning the blocks across `threads_` workers that claim them
+/// in ascending order off an atomic counter.  Each worker batch-evaluates
+/// its block and records its first event; the lowest event index wins,
+/// and blocks past the best-so-far event block are skipped (every block
+/// below it was claimed earlier, so it is fully processed before the
+/// workers drain).  Workers also stop claiming once a pause, cancel or
+/// deadline fires, and the cursor resumes after the last claimed block.
+/// Because blocks are fixed and claims are contiguous, the first event
+/// found is the globally lowest one wherever step boundaries land —
+/// verdict, witness, and `work` (event index + 1 on a hit, the volume on
+/// a proof) are the scalar walk's, the determinism contract of
+/// verify/task.hpp.  `batch == 1` (the scalar reference) and practically
+/// unenumerable boxes (bounded_volume() == 0) run a serial scalar
+/// odometer slice instead.
 class EnumerateTask final : public EngineTask {
  public:
   EnumerateTask(Query query, const EnumerateOptions& options,
@@ -281,20 +197,19 @@ class EnumerateTask final : public EngineTask {
 
  private:
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
-    if (volume_ == 0) return scalar_slice(max_work, out);
-    const std::uint64_t lanes = batch_;
-    const std::uint64_t blocks = (max_work + lanes - 1) / lanes;
-    const std::uint64_t end = std::min(volume_, cursor_ + blocks * lanes);
-    const std::uint64_t chunk_blocks = (end - cursor_ + lanes - 1) / lanes;
-    const std::size_t fan = static_cast<std::size_t>(
-        std::min<std::uint64_t>(threads_, chunk_blocks));
-    const std::optional<BlockEvent> event =
-        scan_range(query_, cursor_, end, batch_, fan);
+    if (volume_ == 0 || batch_ == 1) return scalar_slice(max_work, out);
+    // Whole blocks covering the quota, clamped to the volume without
+    // overflow: a quota at or past what remains scans to the end.
+    const std::uint64_t remaining = volume_ - cursor_;
+    const std::uint64_t span =
+        max_work >= remaining
+            ? remaining
+            : std::min(remaining, (max_work + batch_ - 1) / batch_ * batch_);
+    const std::optional<BlockEvent> event = scan(cursor_ + span);
     if (event.has_value()) {
       out = event_result(query_, *event);
       return true;
     }
-    cursor_ = end;
     if (cursor_ < volume_) return false;
     out.verdict = Verdict::kRobust;
     out.counterexample.reset();
@@ -302,8 +217,82 @@ class EnumerateTask final : public EngineTask {
     return true;
   }
 
-  /// Serial scalar odometer slice for unenumerable volumes; yields at
-  /// 64-point checkpoints so pause/cancel stay prompt.
+  /// Scans [cursor_, range_end) for the lowest event and advances cursor_
+  /// past every block claimed (the whole range unless a worker yielded).
+  /// The calling thread is worker 0; the evaluator and each worker's batch
+  /// persist across steps.  Returns nullopt when the scanned part is
+  /// event-free.
+  [[nodiscard]] std::optional<BlockEvent> scan(std::uint64_t range_end) {
+    const Query& q = query_;
+    const std::uint64_t range_start = cursor_;
+    const std::uint64_t blocks = (range_end - range_start + batch_ - 1) / batch_;
+    const std::size_t fan =
+        static_cast<std::size_t>(std::min<std::uint64_t>(threads_, blocks));
+    if (!evaluator_.has_value()) evaluator_.emplace(*q.net);
+    while (batches_.size() < fan) batches_.push_back(evaluator_->make_batch());
+
+    std::atomic<std::uint64_t> next_block{0};
+    std::atomic<std::uint64_t> best_block{~static_cast<std::uint64_t>(0)};
+    util::Mutex best_mutex;
+    bool have_best = false;
+    BlockEvent best;
+    util::FirstError error;
+
+    const auto worker = [&](nn::BatchEvaluator::Batch& batch) {
+      try {
+        std::vector<int> delta;
+        while (!should_yield()) {
+          const std::uint64_t blk = next_block.fetch_add(1);
+          if (blk >= blocks) return;
+          if (blk > best_block.load(std::memory_order_relaxed)) continue;
+          const std::uint64_t start = range_start + blk * batch_;
+          const std::size_t count = static_cast<std::size_t>(
+              std::min<std::uint64_t>(batch_, range_end - start));
+          batch.clear();
+          decode_point(q, start, delta);
+          for (std::size_t t = 0; t < count; ++t) {
+            stage_lane(q, delta, batch);
+            if (t + 1 < count) (void)advance(q, delta);
+          }
+          evaluator_->run(batch);
+          for (std::size_t t = 0; t < count; ++t) {
+            const bool overflow = batch.overflowed(t);
+            if (!overflow && batch.label(t) == q.true_label) continue;
+            const util::MutexLock lock(best_mutex);
+            const std::uint64_t index = start + t;
+            if (!have_best || index < best.index) {
+              have_best = true;
+              best = {index, overflow ? 0 : batch.label(t), overflow};
+              best_block.store(blk, std::memory_order_relaxed);
+            }
+            break;  // later lanes of this block are higher indices
+          }
+        }
+      } catch (...) {
+        error.capture();
+        next_block.store(blocks);  // drain the other workers
+      }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(fan - 1);
+    for (std::size_t w = 1; w < fan; ++w) {
+      pool.emplace_back([&worker, this, w] { worker(batches_[w]); });
+    }
+    worker(batches_[0]);
+    for (std::thread& t : pool) t.join();
+    error.rethrow_if_set();
+    // Claims are contiguous from block 0, so every block below the claim
+    // counter was fully scanned.
+    const std::uint64_t claimed = std::min(next_block.load(), blocks);
+    cursor_ = std::min(range_end, range_start + claimed * batch_);
+    if (!have_best) return std::nullopt;
+    return best;
+  }
+
+  /// Serial scalar odometer slice (the scalar reference walk, and the
+  /// fallback for unenumerable volumes); yields at 64-point checkpoints so
+  /// pause/cancel stay prompt.
   bool scalar_slice(std::uint64_t max_work, VerifyResult& out) {
     const Query& q = query_;  // const ref so the odometer helper resolves
     if (!started_) {
@@ -334,7 +323,9 @@ class EnumerateTask final : public EngineTask {
   std::size_t threads_;
   std::uint64_t volume_;
   std::uint64_t cursor_ = 0;
-  // Scalar-fallback odometer state.
+  std::optional<nn::BatchEvaluator> evaluator_;  // shared by the workers
+  std::vector<nn::BatchEvaluator::Batch> batches_;  // one per worker
+  // Scalar odometer state.
   std::vector<int> delta_;
   bool started_ = false;
   std::uint64_t visited_ = 0;
@@ -353,29 +344,7 @@ std::uint64_t enumerate_stream(
 
 VerifyResult enumerate_find_first(const Query& query,
                                   const EnumerateOptions& options) {
-  query.validate();
-  const std::size_t batch = nn::BatchEvaluator::resolve_batch(options.batch);
-  std::size_t threads = options.threads == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : options.threads;
-  if (batch > 1 && threads > 1) {
-    const std::uint64_t volume = bounded_volume(query);
-    // Only fan out when there are enough blocks to go around; tiny boxes
-    // (and practically-unenumerable ones) use the serial walk.
-    if (volume > 0 && volume / batch >= 2 * threads) {
-      return parallel_find_first(query, volume, batch, threads);
-    }
-  }
-  VerifyResult result;
-  result.verdict = Verdict::kRobust;
-  result.work = enumerate_stream(query,
-                                 [&](const Counterexample& cex) {
-                                   result.verdict = Verdict::kVulnerable;
-                                   result.counterexample = cex;
-                                   return false;  // stop at first
-                                 },
-                                 options);
-  return result;
+  return run_task(*make_enumerate_task(query, options, Budget{}));
 }
 
 std::unique_ptr<EngineTask> make_enumerate_task(const Query& query,

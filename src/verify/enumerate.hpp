@@ -18,10 +18,10 @@
 ///   - a lane the batched kernel flags as overflowing is re-run through the
 ///     scalar path, which throws the genuine exception at exactly the point
 ///     the scalar walk would have;
-///   - the parallel decision walk (enumerate_find_first with threads > 1)
-///     splits the box into fixed blocks claimed in ascending order and
-///     keeps the lowest-index event, so verdict, witness, and `work` are
-///     pure functions of the query.
+///   - the decision walk (`enumerate_find_first`, the engine's task) splits
+///     the box into fixed blocks claimed in ascending order — across
+///     threads when `threads > 1` — and keeps the lowest-index event, so
+///     verdict, witness, and `work` are pure functions of the query.
 #pragma once
 
 #include <functional>
@@ -37,8 +37,8 @@ class EngineTask;
 /// Execution knobs; every setting produces bit-identical results.
 struct EnumerateOptions {
   /// Evaluation lanes per batched forward pass: 1 = the scalar reference
-  /// walk, 0 = auto (nn::BatchEvaluator::kAutoBatch).  Serial chunk sizes
-  /// ramp up from 8 so early-exit decision queries waste little work.
+  /// walk, 0 = auto (nn::BatchEvaluator::kAutoBatch).  Streaming chunk
+  /// sizes ramp up from 8 so a sink that stops early wastes little work.
   std::size_t batch = 0;
   /// Worker threads for the decision query (enumerate_find_first only;
   /// streaming and collection stay serial so sink order is the odometer
@@ -46,7 +46,8 @@ struct EnumerateOptions {
   std::size_t threads = 1;
 };
 
-/// Decision query: stops at the first counterexample.
+/// Decision query: stops at the first counterexample.  Runs
+/// `make_enumerate_task` to completion in one unbounded step.
 [[nodiscard]] VerifyResult enumerate_find_first(
     const Query& query, const EnumerateOptions& options = {});
 
@@ -65,10 +66,11 @@ std::uint64_t enumerate_stream(
 
 /// Native incremental task for the decision query (verify/task.hpp): each
 /// step scans the next `max_work` grid points (rounded up to whole
-/// evaluation blocks) of the linearized box, so the walk pauses, resumes,
-/// and honours `budget` deadlines at block granularity.  Verdict, witness,
-/// and `work` are bit-identical to `enumerate_find_first` for every step
-/// size, batch, and thread count.
+/// evaluation blocks) of the linearized box, and the workers stop
+/// claiming blocks once a pause, cancel or `budget` deadline fires, so the
+/// walk pauses, resumes, and expires at block granularity.  Verdict,
+/// witness, and `work` are identical for every step size, batch, and
+/// thread count.
 [[nodiscard]] std::unique_ptr<EngineTask> make_enumerate_task(
     const Query& query, const EnumerateOptions& options, const Budget& budget);
 

@@ -24,8 +24,8 @@
 /// cache-off.
 ///
 /// Cache misses are decided by *driving the engine's resumable task*
-/// (`Engine::make_task`, DESIGN.md §12) in a step loop rather than one
-/// blocking `verify_with` call.  That is what makes the batch entry points
+/// (`Engine::make_task`, DESIGN.md §12) in a loop of `step_work`-sized
+/// steps rather than one unbounded step.  That is what makes the batch entry points
 /// deadline-aware and controllable: `SchedulerOptions::deadline_ms` arms a
 /// fresh per-query `Budget::after_ms` deadline at each dispatch (expiry →
 /// kUnknown with `resource_limited`, overshoot bounded by one step), and a
@@ -60,7 +60,7 @@ struct SchedulerOptions {
   /// Worker count; 0 = one worker per hardware thread.
   std::size_t threads = 0;
   /// Intra-query worker budget granted to each engine dispatch (via
-  /// `Engine::verify_with`), so inter- and intra-query parallelism share
+  /// `VerifyContext::threads`), so inter- and intra-query parallelism share
   /// one thread budget instead of oversubscribing.  0 (the default) means
   /// *leftover threads*: when a batch has fewer queries than workers, the
   /// idle workers are handed to the engines (branch-and-bound's

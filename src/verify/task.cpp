@@ -75,14 +75,13 @@ const VerifyResult& EngineTask::result() const FANNET_NO_THREAD_SAFETY_ANALYSIS 
 
 namespace {
 
-/// Default adapter: the whole blocking verify_with call as one step.
+/// Generic adapter: the whole decision procedure as one step.
 class GenericEngineTask final : public EngineTask {
  public:
-  GenericEngineTask(const Engine& engine, Query query, VerifyContext context)
+  GenericEngineTask(DecideFn decide, Query query, const VerifyContext& context)
       : EngineTask(context.budget),
-        engine_(engine),
-        query_(std::move(query)),
-        context_(context) {}
+        decide_(std::move(decide)),
+        query_(std::move(query)) {}
 
  private:
   bool step_impl(std::uint64_t /*max_work*/, VerifyResult& out) override {
@@ -91,28 +90,31 @@ class GenericEngineTask final : public EngineTask {
       out.resource_limited = true;
       return true;
     }
-    out = engine_.verify_with(query_, context_);
+    out = decide_(query_);
     return true;
   }
 
-  const Engine& engine_;
+  DecideFn decide_;
   Query query_;
-  VerifyContext context_;
 };
 
 }  // namespace
 
-std::unique_ptr<EngineTask> make_generic_task(const Engine& engine,
+std::unique_ptr<EngineTask> make_generic_task(DecideFn decide,
                                               const Query& query,
                                               const VerifyContext& context) {
-  return std::make_unique<GenericEngineTask>(engine, query, context);
+  return std::make_unique<GenericEngineTask>(std::move(decide), query,
+                                             context);
+}
+
+VerifyResult run_task(EngineTask& task) {
+  (void)task.run(EngineTask::kUnboundedStep);
+  return task.result();
 }
 
 VerifyResult run_task(const Engine& engine, const Query& query,
                       const VerifyContext& context) {
-  const std::unique_ptr<EngineTask> task = engine.make_task(query, context);
-  (void)task->run();
-  return task->result();
+  return run_task(*engine.make_task(query, context));
 }
 
 }  // namespace fannet::verify

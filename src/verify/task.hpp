@@ -1,16 +1,19 @@
 /// \file
 /// \brief Resumable cooperative engine tasks (DESIGN.md §12).
 ///
-/// `EngineTask` turns a blocking `Engine::verify_with` call into an
-/// explicit state machine — kUninitialized → kRunning ⇄ kPaused → kDone —
-/// with a bounded `step(max_work)` surface, so a serving layer can hold
-/// thousands of in-flight P2 queries, time-slice them, pause and resume
-/// them, cancel them, and bound them with wall-clock deadlines.  Engines
-/// with real long-running loops (enumerate's grid walk, bnb's
-/// work-stealing frontier, the cascade's staged pipeline, sat's CDCL solve
-/// + witness minimization) provide native tasks that checkpoint their
-/// frontier/trail between steps; every other engine gets a generic
-/// one-step adapter via `Engine::make_task`'s default.
+/// `EngineTask` is the one way an engine decides a P2 query: an explicit
+/// state machine — kUninitialized → kRunning ⇄ kPaused → kDone — with a
+/// bounded `step(max_work)` surface, so a serving layer can hold thousands
+/// of in-flight P2 queries, time-slice them, pause and resume them, cancel
+/// them, and bound them with wall-clock deadlines.  Blocking callers
+/// (`Engine::verify`, `run_task`, and the engines' own free functions such
+/// as `bnb_verify`) run the same task in one unbounded step
+/// (`EngineTask::kUnboundedStep`).  Engines with real long-running loops
+/// (enumerate's grid walk, bnb's work-stealing frontier, the cascade's
+/// staged pipeline, sat's CDCL solve + witness minimization) provide native
+/// tasks that checkpoint their frontier/trail between steps and poll
+/// pause/cancel/deadline inside a step; single-shot decision procedures
+/// are wrapped by `make_generic_task`.
 ///
 /// Determinism contract: a task paused and resumed at *any* step
 /// boundaries yields the bit-identical verdict and the same
@@ -27,6 +30,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "util/sync.hpp"
@@ -38,6 +43,15 @@ namespace fannet::verify {
 
 class Engine;
 struct VerifyContext;
+
+/// `a + b`, clamped at UINT64_MAX: step quotas are added to running work
+/// counters, and the unbounded quota must not wrap below them.
+[[nodiscard]] constexpr std::uint64_t saturating_add(std::uint64_t a,
+                                                     std::uint64_t b) noexcept {
+  return b > std::numeric_limits<std::uint64_t>::max() - a
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
+}
 
 /// Lifecycle of an EngineTask (the Leviathan solver shape).
 enum class TaskState : std::uint8_t {
@@ -54,6 +68,10 @@ class EngineTask {
   /// Default per-step work quota, in engine-native units (grid points for
   /// enumerate, boxes for bnb, conflicts for sat).
   static constexpr std::uint64_t kDefaultStepWork = 1024;
+  /// The full quota: a step runs until the query is decided or a
+  /// pause/cancel/deadline checkpoint fires.  What `run_task` uses.
+  static constexpr std::uint64_t kUnboundedStep =
+      std::numeric_limits<std::uint64_t>::max();
 
   virtual ~EngineTask() = default;
   EngineTask(const EngineTask&) = delete;
@@ -138,19 +156,25 @@ class EngineTask {
   util::Mutex step_mutex_;  ///< serializes step bodies
 };
 
-/// Runs `engine.make_task(query, context)` to completion and returns its
-/// result — the task-path equivalent of `engine.verify_with(query,
-/// context)`, used by `cached_verify` so every cached dispatch goes
-/// through the task substrate.
+/// Runs `task` to completion at the full quota
+/// (`EngineTask::kUnboundedStep`: one step per search, or per SAT probe)
+/// and returns its result — the blocking driver every engine entry point
+/// shares.  Engine exceptions propagate.
+[[nodiscard]] VerifyResult run_task(EngineTask& task);
+
+/// `run_task(*engine.make_task(query, context))`: what `Engine::verify`
+/// and `cached_verify` dispatch through.
 [[nodiscard]] VerifyResult run_task(const Engine& engine, const Query& query,
                                     const VerifyContext& context);
 
-/// Default `Engine::make_task` adapter: one step that runs the whole
-/// blocking `verify_with` call.  A pre-step deadline/cancel check still
-/// maps to kUnknown + resource_limited, but a started step runs to
-/// completion — engines that need bounded overshoot implement a native
-/// task instead.
+/// A single-shot decision procedure: decides a validated query outright.
+using DecideFn = std::function<VerifyResult(const Query&)>;
+
+/// Task for an engine without a long-running loop: one step that calls
+/// `decide`.  A pre-step deadline/cancel check still maps to kUnknown +
+/// resource_limited, but a started step runs to completion — engines that
+/// need bounded overshoot implement a native task instead.
 [[nodiscard]] std::unique_ptr<EngineTask> make_generic_task(
-    const Engine& engine, const Query& query, const VerifyContext& context);
+    DecideFn decide, const Query& query, const VerifyContext& context);
 
 }  // namespace fannet::verify

@@ -96,6 +96,11 @@ TEST_F(CliExitCodes, TwoOnUsageError) {
   EXPECT_EQ(run_cli("tolerance --threads"), 2);       // flag without value
   EXPECT_EQ(run_cli("tolerance --threads hello"), 2); // non-numeric value
   EXPECT_EQ(run_cli(""), 2);                          // missing command
+  // strtoull would read "-1" as UINT64_MAX; counts must be plain digits.
+  EXPECT_EQ(run_cli("tolerance --small --seed -1 --json-dir " + dir()), 2);
+  EXPECT_EQ(run_cli("tolerance --small --seed 99999999999999999999999 "
+                    "--json-dir " + dir()),
+            2);
 }
 
 TEST_F(CliExitCodes, ThreeWhenSweepShardsStayPending) {
@@ -116,6 +121,29 @@ TEST_F(CliExitCodes, FourWhenDeadlineCutsProbes) {
                     "--start-range 50 --deadline-ms 1 --json-dir " + dir()),
             4);
 }
+
+#if defined(FANNET_SERVE_PATH)
+
+/// Runs fannet_serve with `args` under a 20 s timeout (a flag that parses
+/// by mistake starts the daemon, which the timeout then kills: status 124).
+int run_serve(const std::string& args) {
+  const std::string command = "timeout 20 " + std::string(FANNET_SERVE_PATH) +
+                              " " + args + " >/dev/null 2>&1";
+  const int raw = std::system(command.c_str());
+  if (raw == -1 || !WIFEXITED(raw)) return -1;
+  return WEXITSTATUS(raw);
+}
+
+TEST(ServeExitCodes, NegativeOrOverflowingCountsAreUsageErrors) {
+  // strtoull reads "-1" as UINT64_MAX, a step quota the engines once
+  // stalled on; every count flag must be plain digits within range.
+  EXPECT_EQ(run_serve("--step-work -1"), 2);
+  EXPECT_EQ(run_serve("--step-work ' 5'"), 2);
+  EXPECT_EQ(run_serve("--step-work 18446744073709551616"), 2);
+  EXPECT_EQ(run_serve("--deadline-ms -5"), 2);
+}
+
+#endif  // FANNET_SERVE_PATH
 
 #else
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "nn/network.hpp"
 #include "util/error.hpp"
@@ -41,8 +42,8 @@ nn::QuantizedNetwork random_qnet(std::uint64_t seed, std::size_t inputs = 2,
 TEST(EngineRegistry, SeedsEveryBuiltinStrategy) {
   const std::vector<std::string> names = registry().names();
   for (const char* expected :
-       {"bmc", "bnb", "cascade", "enumerate", "explicit-mc", "interval",
-        "sat", "symbolic"}) {
+       {"bnb", "cascade", "enumerate", "explicit-mc", "interval", "sat",
+        "symbolic"}) {
     EXPECT_TRUE(registry().contains(expected)) << expected;
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end());
     EXPECT_EQ(registry().get(expected).name(), expected);
@@ -84,20 +85,30 @@ TEST(Cascade, RequiresAtLeastOneStage) {
 // ---------------------------------------------------------------------------
 class RegistryAgreement : public testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(RegistryAgreement, AllEnginesConsistentWithEnumerationOracle) {
-  const std::uint64_t seed = GetParam();
-  const nn::QuantizedNetwork net = random_qnet(seed);
+/// The seeded queries each RegistryAgreement case checks: both verdicts
+/// (wrong-label queries mixed in), ranges 1-2, the bias node on a quarter.
+std::vector<Query> agreement_queries(const nn::QuantizedNetwork& net,
+                                     std::uint64_t seed) {
   util::Rng rng(seed * 131 + 9);
+  std::vector<Query> queries;
   for (int trial = 0; trial < 3; ++trial) {
     std::vector<i64> x(2);
     for (auto& v : x) v = rng.uniform_int(1, 100);
     const int actual = net.classify_noised(x, {});
-    // Mix in wrong-label queries so both verdicts appear.
     const int label = rng.bernoulli(0.3) ? 1 - actual : actual;
     const int range = static_cast<int>(rng.uniform_int(1, 2));
     const bool bias = rng.bernoulli(0.25);
-    const Query q = make_query(net, x, label, range, bias);
+    queries.push_back(make_query(net, x, label, range, bias));
+  }
+  return queries;
+}
 
+TEST_P(RegistryAgreement, AllEnginesConsistentWithEnumerationOracle) {
+  const std::uint64_t seed = GetParam();
+  const nn::QuantizedNetwork net = random_qnet(seed);
+  const std::vector<Query> queries = agreement_queries(net, seed);
+  for (std::size_t trial = 0; trial < queries.size(); ++trial) {
+    const Query& q = queries[trial];
     const VerifyResult truth = enumerate_find_first(q);
     for (const std::string& name : registry().names()) {
       const Engine& e = engine(name);
@@ -112,10 +123,42 @@ TEST_P(RegistryAgreement, AllEnginesConsistentWithEnumerationOracle) {
       if (r.verdict == Verdict::kVulnerable) {
         ASSERT_TRUE(r.counterexample.has_value()) << name;
         std::vector<int> all = r.counterexample->deltas;
-        if (bias) all.push_back(r.counterexample->bias_delta);
+        if (q.bias_node) all.push_back(r.counterexample->bias_delta);
         EXPECT_NE(classify_under_noise(q, all), q.true_label)
             << name << " returned a witness that does not flip";
       }
+    }
+  }
+}
+
+TEST_P(RegistryAgreement, EnumerateDecisionMatchesScalarWalk) {
+  // enumerate_find_first drives the engine's task; the scalar odometer
+  // walk behind enumerate_stream at batch 1 is the reference, kept
+  // verbatim.  The scalar task slice (batch 1), the batched blocks, and
+  // their parallel fan-out must all land on its first counterexample and
+  // its visited count.
+  const std::uint64_t seed = GetParam();
+  const nn::QuantizedNetwork net = random_qnet(seed);
+  for (const Query& q : agreement_queries(net, seed)) {
+    std::optional<Counterexample> first;
+    const std::uint64_t visited = enumerate_stream(
+        q,
+        [&](const Counterexample& cex) {
+          first = cex;
+          return false;
+        },
+        {.batch = 1});
+    for (const EnumerateOptions options :
+         {EnumerateOptions{.batch = 1}, EnumerateOptions{},
+          EnumerateOptions{.batch = 0, .threads = 2}}) {
+      const VerifyResult r = enumerate_find_first(q, options);
+      EXPECT_EQ(r.verdict,
+                first.has_value() ? Verdict::kVulnerable : Verdict::kRobust)
+          << "seed=" << seed << " batch=" << options.batch;
+      EXPECT_EQ(r.counterexample, first)
+          << "seed=" << seed << " batch=" << options.batch;
+      EXPECT_EQ(r.work, visited)
+          << "seed=" << seed << " batch=" << options.batch;
     }
   }
 }

@@ -11,7 +11,6 @@
 #include "core/fannet.hpp"
 #include "core/translate.hpp"
 #include "mc/bddmc.hpp"
-#include "mc/bmc.hpp"
 #include "mc/explicit.hpp"
 #include "verify/enumerate.hpp"
 #include "smv/parser.hpp"
@@ -77,11 +76,8 @@ TEST(Integration, FourEnginesAgreeOnRealSamples) {
     for (const int range : {1, 2}) {
       const auto truth = fannet.check_sample(cs.test_x.row(s), cs.test_y[s],
                                              range, Engine::kEnumerate);
-      // BMC bit-blasts the whole 5-20-2 net per query; keep it to range 1
-      // so the suite stays fast (the per-engine tests cover it broadly).
-      std::vector<Engine> engines{Engine::kBnB, Engine::kExplicitMc};
-      if (range == 1) engines.push_back(Engine::kBmc);
-      for (const Engine& e : engines) {
+      for (const Engine& e :
+           {Engine::kBnB, Engine::kCascade, Engine::kExplicitMc}) {
         const auto r =
             fannet.check_sample(cs.test_x.row(s), cs.test_y[s], range, e);
         EXPECT_EQ(r.verdict, truth.verdict)

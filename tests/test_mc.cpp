@@ -1,12 +1,11 @@
 // Unit + cross-engine tests for the model-checking backends: explicit-state
-// reachability (the Fig.-3 counters), SAT-based BMC / k-induction, and
-// BDD-based symbolic reachability.  A family of small SMV models is checked
-// by all three engines, which must agree.
+// reachability (the Fig.-3 counters) and BDD-based symbolic reachability.
+// A family of small SMV models is checked by both engines, which must
+// agree.
 #include <gtest/gtest.h>
 
 #include "core/translate.hpp"
 #include "mc/bddmc.hpp"
-#include "mc/bmc.hpp"
 #include "mc/explicit.hpp"
 #include "smv/parser.hpp"
 #include "util/error.hpp"
@@ -153,68 +152,6 @@ TEST(Fig3, NoiseFsmFollowsClosedForm) {
 }
 
 // ---------------------------------------------------------------------------
-// BMC
-// ---------------------------------------------------------------------------
-TEST(Bmc, FindsShortestViolation) {
-  const Module m = counter_module();
-  BmcChecker checker(m);
-  const BmcResult r = checker.check_invariant(m.specs()[1].expr, 10);
-  EXPECT_EQ(r.verdict, sat::SolveResult::kSat);
-  EXPECT_EQ(r.depth, 5);  // x reaches 5 after 5 steps
-  ASSERT_EQ(r.counterexample.states.size(), 6u);
-  EXPECT_EQ(r.counterexample.states.back()[0], 5);
-  // The decoded trace must be a real path: consecutive +1 steps from 0.
-  for (std::size_t i = 0; i < r.counterexample.states.size(); ++i) {
-    EXPECT_EQ(r.counterexample.states[i][0], static_cast<smv::i64>(i));
-  }
-}
-
-TEST(Bmc, BoundedHoldReportsUnsat) {
-  const Module m = counter_module();
-  BmcChecker checker(m);
-  const BmcResult r = checker.check_invariant(m.specs()[1].expr, 3);
-  EXPECT_EQ(r.verdict, sat::SolveResult::kUnsat);  // violation needs depth 5
-}
-
-TEST(Bmc, TrueInvariantStaysUnsat) {
-  const Module m = counter_module();
-  BmcChecker checker(m);
-  const BmcResult r = checker.check_invariant(m.specs()[0].expr, 12);
-  EXPECT_EQ(r.verdict, sat::SolveResult::kUnsat);
-}
-
-TEST(Bmc, KInductionProvesRangeInvariant) {
-  const Module m = counter_module();
-  BmcChecker checker(m);
-  const InductionResult r = checker.prove_invariant(m.specs()[0].expr, 4);
-  EXPECT_TRUE(r.proved);
-  EXPECT_FALSE(r.violated);
-}
-
-TEST(Bmc, KInductionFindsViolation) {
-  const Module m = counter_module();
-  BmcChecker checker(m);
-  const InductionResult r = checker.prove_invariant(m.specs()[1].expr, 8);
-  EXPECT_TRUE(r.violated);
-  EXPECT_FALSE(r.proved);
-  EXPECT_EQ(r.counterexample.states.back()[0], 5);
-}
-
-TEST(Bmc, NondeterministicChoiceExplored) {
-  const Module m = parse_module(R"(
-MODULE main
-VAR x : 0..7;
-ASSIGN init(x) := 0; next(x) := {x, x + 1};
-INVARSPEC x != 3
-)");
-  BmcChecker checker(m);
-  const BmcResult r = checker.check_invariant(m.specs()[0].expr, 10);
-  EXPECT_EQ(r.verdict, sat::SolveResult::kSat);
-  EXPECT_EQ(r.depth, 3);
-  EXPECT_EQ(r.counterexample.states.back()[0], 3);
-}
-
-// ---------------------------------------------------------------------------
 // BDD engine + cross-engine agreement
 // ---------------------------------------------------------------------------
 TEST(BddMc, CounterReachableCountMatchesExplicit) {
@@ -244,7 +181,7 @@ TEST(BddMc, NodeLimitEnforced) {
   EXPECT_THROW(checker.reachable_states(), ResourceLimit);
 }
 
-/// Three engines on one nondeterministic model with INVAR + TRANS mix.
+/// Both engines on one nondeterministic model with INVAR + TRANS mix.
 TEST(CrossEngine, AgreeOnMixedModel) {
   const Module m = parse_module(R"(
 MODULE main
@@ -258,14 +195,10 @@ INVARSPEC !(x = 10 & y)
 INVARSPEC x != 6
 )");
   const ExplicitChecker expl(m);
-  BmcChecker bmc(m);
   const BddChecker bdd(m);
   for (const auto& spec : m.specs()) {
     const bool expl_holds = expl.check_spec(spec).holds;
-    const BmcResult b = bmc.check_invariant(spec.expr, 12);
-    const bool bmc_holds = (b.verdict == sat::SolveResult::kUnsat);
     const bool bdd_holds = bdd.check_invariant(spec.expr).holds;
-    EXPECT_EQ(expl_holds, bmc_holds);
     EXPECT_EQ(expl_holds, bdd_holds);
   }
 }

@@ -117,11 +117,11 @@ TEST(SatEngine, VerifyWithThreadsContextBudgets) {
   verify::VerifyContext ctx;
   ctx.budget.conflicts = 1;
   ctx.budget.propagations = 1;
-  const VerifyResult limited = verify::engine("sat").verify_with(q, ctx);
+  const VerifyResult limited = verify::engine("sat").verify(q, ctx);
   EXPECT_EQ(limited.verdict, Verdict::kUnknown);
   EXPECT_TRUE(limited.resource_limited);
   // Default context: engine defaults apply and the query is decided.
-  const VerifyResult full = verify::engine("sat").verify_with(q, {});
+  const VerifyResult full = verify::engine("sat").verify(q, {});
   EXPECT_NE(full.verdict, Verdict::kUnknown);
 }
 

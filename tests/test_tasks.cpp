@@ -108,6 +108,32 @@ TEST(Task, StepSizeNeverChangesVerdictOrWitness) {
   }
 }
 
+TEST(Task, FullQuotaStepReachesDone) {
+  // run_task steps at the full uint64_t quota.  Every native task adds the
+  // quota to the work already done; the sum must saturate, not wrap below
+  // it and leave the task stepping without progress.  A one-unit step
+  // first makes that prior work nonzero.
+  for (const std::string& name : registry().names()) {
+    const Engine& eng = engine(name);
+    if (!eng.caps().native_task) continue;
+    // A robust query, and a vulnerable one whose lex-lowest-witness search
+    // takes bnb ~200 boxes — far more than 64 steps of one box each.
+    for (const Query& q : {make_q(82, 10, false), make_q(22, 50, false)}) {
+      const auto task = eng.make_task(q, {});
+      (void)task->step(1);
+      for (int steps = 0; steps < 64; ++steps) {
+        if (task->step(EngineTask::kUnboundedStep) == TaskState::kDone) break;
+      }
+      ASSERT_EQ(task->state(), TaskState::kDone) << name;
+      const VerifyResult stepped =
+          drive(eng, q, {}, EngineTask::kDefaultStepWork);
+      EXPECT_EQ(task->result().verdict, stepped.verdict) << name;
+      EXPECT_EQ(task->result().counterexample, stepped.counterexample)
+          << name;
+    }
+  }
+}
+
 TEST(Task, PauseResumeAtArbitraryBoundariesIsBitIdentical) {
   for (const char* name : {"enumerate", "bnb", "cascade", "sat"}) {
     const Engine& eng = engine(name);
@@ -164,7 +190,7 @@ TEST(Task, CancelTokenInBudgetInterruptsTheTask) {
 
 TEST(Task, GenericAdapterHonoursPreStepInterruptionAndMatchesBlocking) {
   // Sound-only engines without a native task get the one-step adapter: a
-  // normal run equals verify_with; a pre-cancelled budget never dispatches.
+  // stepped run equals verify; a pre-cancelled budget never dispatches.
   const Engine& eng = engine("interval");
   const Query q = make_q(10, 2, false);
   EXPECT_EQ(drive(eng, q, {}, 0).verdict, eng.verify(q).verdict);

@@ -10,6 +10,8 @@
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 sweep shards
 // pending, 4 deadline expired on at least one query.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -122,9 +124,15 @@ exit codes: 0 success (sweep: campaign complete), 1 runtime failure,
 }
 
 bool parse_size(const char* text, std::size_t& out) {
+  // strtoull skips leading blanks and negates a leading '-', so require a
+  // digit first; an out-of-range value sets ERANGE.
+  const auto first = static_cast<unsigned char>(text[0]);
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (std::isdigit(first) == 0 || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
   out = static_cast<std::size_t>(v);
   return true;
 }

@@ -10,6 +10,8 @@
 //
 // Exit codes: 0 clean shutdown (drain completed), 1 runtime failure,
 // 2 usage error.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -76,9 +78,14 @@ exit codes: 0 clean shutdown, 1 runtime failure, 2 usage error
 }
 
 std::uint64_t parse_u64(const char* flag, const char* value) {
+  // strtoull skips leading blanks and negates a leading '-' ("-1" parses
+  // as UINT64_MAX), so require a digit first; an out-of-range value sets
+  // ERANGE instead of failing the end check.
+  const auto first = static_cast<unsigned char>(value[0]);
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  if (std::isdigit(first) == 0 || *end != '\0' || errno == ERANGE) {
     usage_error(std::string(flag) + " needs a non-negative integer");
   }
   return static_cast<std::uint64_t>(v);
